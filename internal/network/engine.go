@@ -73,7 +73,7 @@ var pipeline = [...]enginePhase{
 //cr:hotpath cycle-kernel entry point; zero-alloc steady state (TestSteadyStateZeroAlloc)
 func (n *Network) Step() {
 	if n.shards != nil && !n.bruteForce {
-		n.stepSharded()
+		n.finishStep(n.stepSharded())
 		return
 	}
 	progressed := false
@@ -95,13 +95,12 @@ func (n *Network) finishStep(progressed bool) {
 		n.lastProgress = n.cycle
 	}
 	if n.cfg.Check {
-		for _, r := range n.routers {
-			if r == nil {
-				continue // never constructed, trivially consistent
-			}
-			if err := r.CheckInvariants(); err != nil {
-				panic(fmt.Sprintf("cycle %d: %v", n.cycle, err))
-			}
+		// Only the routers a mutating method touched since the last
+		// check are checked: every other router still holds the state
+		// that passed then.
+		n.checkDirty(&n.sink)
+		for i := range n.shards {
+			n.checkDirty(&n.shards[i].sink)
 		}
 	}
 	if n.hooks.Monitor != nil && n.health == nil {
@@ -113,6 +112,21 @@ func (n *Network) finishStep(progressed bool) {
 	if n.hooks.Observer != nil {
 		n.hooks.Observer(n.cycle - 1)
 	}
+}
+
+// checkDirty checks and clears every router on sk's dirty list, then
+// empties the list. A violation panics: the simulation state is no
+// longer trustworthy.
+//
+//cr:hotpath the Config.Check loop, once per context per cycle
+func (n *Network) checkDirty(sk *sink) {
+	for _, r := range sk.dirty {
+		r.ClearDirty()
+		if err := r.CheckInvariants(); err != nil {
+			panic(fmt.Sprintf("cycle %d: %v", n.cycle, err))
+		}
+	}
+	sk.dirty = sk.dirty[:0]
 }
 
 // Run advances the simulation by the given number of cycles.

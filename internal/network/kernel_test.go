@@ -18,7 +18,7 @@ import (
 // whatever order ids are added in, prepare yields ascending iteration
 // order, and dedup holds.
 func TestNodeSetSortedIteration(t *testing.T) {
-	s := newNodeSet(16)
+	s := newNodeSet(0, 16)
 	for _, id := range []int32{9, 3, 14, 3, 0, 9, 7, 15, 1, 0} {
 		s.add(id)
 	}
@@ -32,7 +32,7 @@ func TestNodeSetSortedIteration(t *testing.T) {
 	s.drop(7)
 	kept := s.ids[:0]
 	for _, id := range s.ids {
-		if s.member[id] {
+		if s.has(id) {
 			kept = append(kept, id)
 		}
 	}
@@ -49,7 +49,7 @@ func TestNodeSetSortedIteration(t *testing.T) {
 	}
 	// The reset set must also come back clean: an empty list is
 	// trivially sorted, so a reset that leaves dirty latched would make
-	// the next prepare after Network.Reset run a pointless sort pass.
+	// the next prepare after Network.Reset run a pointless rebuild.
 	if s.dirty {
 		t.Fatal("reset left the set marked dirty")
 	}
@@ -58,6 +58,16 @@ func TestNodeSetSortedIteration(t *testing.T) {
 	s.prepare()
 	if !reflect.DeepEqual(s.ids, []int32{1, 4}) {
 		t.Fatalf("ids after reset+add = %v, want [1 4]", s.ids)
+	}
+	// A shard's set covers a range that need not start or end on a
+	// word boundary; the rebuild must cover its first and last words.
+	sh := newNodeSet(70, 200)
+	for _, id := range []int32{199, 128, 70, 127, 64 + 63} {
+		sh.add(id)
+	}
+	sh.prepare()
+	if !reflect.DeepEqual(sh.ids, []int32{70, 127, 128, 199}) {
+		t.Fatalf("range set ids = %v, want [70 127 128 199]", sh.ids)
 	}
 }
 
@@ -103,33 +113,59 @@ func runKernel(n *Network, gen *traffic.Generator, trafficCycles, maxCycles int6
 	return snap
 }
 
+// faultSoakCase is one random configuration of the fault-heavy kernel
+// soaks: a randomConfig plus transient corruption and a fail/repair
+// timeline (rebuilt per network, since a schedule's cursor is run
+// state).
+type faultSoakCase struct {
+	name     string
+	cfg      Config
+	timeline faults.TimelineConfig
+	load     float64
+	msgLen   int
+}
+
+// faultSoakCases returns the fixed random configurations shared by
+// TestActiveSetMatchesBruteForce and TestDirtyTrackingComplete.
+func faultSoakCases() []faultSoakCase {
+	r := rng.New(0xAC71BE)
+	const configs = 10
+	var cases []faultSoakCase
+	for i := 0; i < configs; i++ {
+		cfg, load, msgLen := randomConfig(r, uint64(i)+7000)
+		// Always corrupt a little and always run a fail/repair timeline:
+		// the fault paths are where activation bookkeeping is subtlest.
+		cfg.TransientRate = 2e-3
+		cases = append(cases, faultSoakCase{
+			name: fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol),
+			cfg:  cfg,
+			timeline: faults.TimelineConfig{
+				Links:    LinksOf(cfg.Topo),
+				LinkMTBF: 900, LinkMTTR: 60,
+				Start: 50, Horizon: 2000,
+				Seed: uint64(i) * 77,
+			},
+			load:   load,
+			msgLen: msgLen,
+		})
+	}
+	return cases
+}
+
 // TestActiveSetMatchesBruteForce is the scheduling soak: the worklist
 // stepper and the scan-everything reference stepper must produce
 // byte-identical runs — same deliveries in the same cycles, same cycle
 // counts, same stats — across random small topologies with transient
 // corruption, kill-heavy load, and permanent fail/repair timelines.
 func TestActiveSetMatchesBruteForce(t *testing.T) {
-	r := rng.New(0xAC71BE)
-	const configs = 10
-	for i := 0; i < configs; i++ {
-		cfg, load, msgLen := randomConfig(r, uint64(i)+7000)
-		// Always corrupt a little and always run a fail/repair timeline:
-		// the fault paths are where activation bookkeeping is subtlest.
-		cfg.TransientRate = 2e-3
-		timeline := faults.TimelineConfig{
-			Links:    LinksOf(cfg.Topo),
-			LinkMTBF: 900, LinkMTTR: 60,
-			Start: 50, Horizon: 2000,
-			Seed: uint64(i) * 77,
-		}
-		name := fmt.Sprintf("cfg%02d_%s_%s", i, cfg.Topo.Name(), cfg.Protocol)
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range faultSoakCases() {
+		t.Run(tc.name, func(t *testing.T) {
 			run := func(brute bool) kernelSnapshot {
-				c := cfg
-				c.Faults = faults.RandomTimeline(timeline)
+				c := tc.cfg
+				c.Faults = faults.RandomTimeline(tc.timeline)
 				n := New(c)
 				n.bruteForce = brute
-				gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, load, msgLen, c.Seed+5)
+				gen := traffic.NewGenerator(c.Topo, traffic.Uniform{Nodes: c.Topo.Nodes()}, tc.load, tc.msgLen, c.Seed+5)
 				return runKernel(n, gen, 1500, 1500*60)
 			}
 			active, brute := run(false), run(true)
@@ -198,36 +234,45 @@ func TestResetDeterminism(t *testing.T) {
 // slice reuse must have reached steady state. The gate holds for every
 // buffer organization: the shared organizations' window grants, release
 // top-ups and advertisement events must all ride preallocated storage.
+// The _check arms hold it with Config.Check on too: the dirty lists and
+// the invariant checks of every touched router allocate nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, org := range router.BufferOrgs {
-		t.Run(org.String(), func(t *testing.T) {
-			topo := topology.NewTorus(8, 2)
-			n := New(Config{
-				Topo:     topo,
-				Alg:      routing.MinimalAdaptive{},
-				Protocol: core.CR,
-				BufOrg:   org,
-				Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
-				Seed:     1,
-			})
-			gen := traffic.NewGenerator(topo, traffic.Uniform{Nodes: topo.Nodes()}, 0.3, 8, 1)
-			cycle := int64(0)
-			step := func() {
-				for node := 0; node < topo.Nodes(); node++ {
-					if m, ok := gen.Tick(topology.NodeID(node), cycle); ok {
-						n.SubmitMessage(m)
+	for _, check := range []bool{false, true} {
+		for _, org := range router.BufferOrgs {
+			name := org.String()
+			if check {
+				name += "_check"
+			}
+			t.Run(name, func(t *testing.T) {
+				topo := topology.NewTorus(8, 2)
+				n := New(Config{
+					Topo:     topo,
+					Alg:      routing.MinimalAdaptive{},
+					Protocol: core.CR,
+					BufOrg:   org,
+					Backoff:  core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+					Seed:     1,
+					Check:    check,
+				})
+				gen := traffic.NewGenerator(topo, traffic.Uniform{Nodes: topo.Nodes()}, 0.3, 8, 1)
+				cycle := int64(0)
+				step := func() {
+					for node := 0; node < topo.Nodes(); node++ {
+						if m, ok := gen.Tick(topology.NodeID(node), cycle); ok {
+							n.SubmitMessage(m)
+						}
 					}
+					n.Step()
+					n.DrainDeliveries()
+					cycle++
 				}
-				n.Step()
-				n.DrainDeliveries()
-				cycle++
-			}
-			for i := 0; i < 3000; i++ { // warmup: grow pools, queues, worklists
-				step()
-			}
-			if avg := testing.AllocsPerRun(500, step); avg > 0 {
-				t.Fatalf("%s: steady-state step loop allocates: %.2f allocs/run, want 0", org, avg)
-			}
-		})
+				for i := 0; i < 3000; i++ { // warmup: grow pools, queues, worklists
+					step()
+				}
+				if avg := testing.AllocsPerRun(500, step); avg > 0 {
+					t.Fatalf("%s: steady-state step loop allocates: %.2f allocs/run, want 0", name, avg)
+				}
+			})
+		}
 	}
 }

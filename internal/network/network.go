@@ -122,8 +122,11 @@ type Config struct {
 	// only changes wall-clock. 0 or 1 selects the serial kernel.
 	Shards int
 
-	// Check enables router invariant verification every cycle (slow;
-	// tests only).
+	// Check enables router invariant verification after every cycle.
+	// Only routers a mutating method touched that cycle are checked (an
+	// untouched router still holds the state that passed before), so
+	// the cost is O(touched routers) and allocates nothing; crsimd
+	// always runs with it.
 	Check bool
 }
 
@@ -356,8 +359,8 @@ func New(cfg Config) *Network {
 		rcfg:      cfg.routerConfig(),
 		ccfg:      cfg.coreConfig(),
 		corrupter: newCorrupter(cfg),
-		activeR:   newNodeSet(nodes),
-		activeI:   newNodeSet(nodes),
+		activeR:   newNodeSet(0, nodes),
+		activeI:   newNodeSet(0, nodes),
 		recvMark:  make([]bool, nodes),
 		hooks:     Hooks{Faults: cfg.Faults},
 		lastFault: -1,
@@ -415,6 +418,11 @@ func (n *Network) routerAt(id topology.NodeID) *router.Router {
 					node: int32(up), port: int16(upPort), vc: uint8(vc), w: int32(delta),
 				})
 			})
+		}
+		if n.rcfg.Check {
+			// The router lists itself for checking whenever it changes;
+			// the list belongs to the context that steps the node.
+			r.TrackDirty(&n.sinkFor(id).dirty)
 		}
 		// A link that failed before this router's first touch must be
 		// reflected in the fresh router's port state (failLink skips

@@ -63,6 +63,13 @@ type sink struct {
 	killsDropped  int64
 	flitsInjected int64
 	flitsEjected  int64
+
+	// dirty lists this context's routers that a mutating method ran on
+	// since the last check (Config.Check only; see Router.TrackDirty).
+	// Routers join it themselves; finishStep checks, clears and
+	// truncates it. reset leaves it alone: the routers it lists are
+	// still marked, and Network.Reset re-marks every router it resets.
+	dirty []*router.Router
 }
 
 // reset empties the sink's queues and counters, keeping capacity.
@@ -128,8 +135,8 @@ func (n *Network) initShards(s int) {
 		}
 		sh := &n.shards[i]
 		sh.lo, sh.hi = int32(lo), int32(lo+size)
-		sh.activeR = newNodeSet(n.nodes)
-		sh.activeI = newNodeSet(n.nodes)
+		sh.activeR = newNodeSet(lo, lo+size)
+		sh.activeI = newNodeSet(lo, lo+size)
 		sh.outCredits = make([][]creditEvent, s)
 		sh.deferred = true
 		for id := lo; id < lo+size; id++ {
@@ -245,13 +252,14 @@ func (n *Network) mergeBarrier() {
 	}
 }
 
-// stepSharded is Step's sharded twin: the same eight phases in the
-// same order, with the node-ordered phases fanned out and a barrier
-// (plus sink merge) between phases. Signals and fault events stay on
+// stepSharded is the sharded twin of the serial pipeline loop: the same
+// eight phases in the same order, with the node-ordered phases fanned
+// out and a barrier (plus sink merge) between phases. It reports
+// whether any flit made progress. Signals and fault events stay on
 // the coordinator — their iteration order is queue order, which no
 // spatial partition preserves — as does the arrivals prepass, which
 // must draw the corruption RNG in global link order.
-func (n *Network) stepSharded() {
+func (n *Network) stepSharded() bool {
 	n.phaseSignals()
 	any := n.prepassArrivals()
 	n.forkJoin(spArrivals)
@@ -281,7 +289,7 @@ func (n *Network) stepSharded() {
 		n.sink.flitsEjected += sh.flitsEjected
 		sh.killsDropped, sh.flitsInjected, sh.flitsEjected = 0, 0, 0
 	}
-	n.finishStep(any || moved)
+	return any || moved
 }
 
 // prepassArrivals is the serial half of the sharded arrivals phase: it

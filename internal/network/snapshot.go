@@ -236,7 +236,7 @@ func saveNodeSet(e *snapshot.Encoder, s *nodeSet) {
 }
 
 func loadNodeSet(d *snapshot.Decoder, s *nodeSet) error {
-	count := d.Count(len(s.member))
+	count := d.Count(int(s.hi - s.lo))
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -246,14 +246,43 @@ func loadNodeSet(d *snapshot.Decoder, s *nodeSet) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if id < 0 || id >= int64(len(s.member)) {
-			return fmt.Errorf("network: snapshot worklist id %d outside [0,%d)", id, len(s.member))
+		if id < int64(s.lo) || id >= int64(s.hi) {
+			return &WorklistError{Index: i, ID: id, Reason: fmt.Sprintf("outside [%d,%d)", s.lo, s.hi)}
 		}
-		s.member[id] = true
-		s.ids = append(s.ids, int32(id))
+		if s.has(int32(id)) {
+			return &WorklistError{Index: i, ID: id, Reason: "listed twice"}
+		}
+		s.add(int32(id))
 	}
 	s.dirty = d.Bool()
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if !s.dirty {
+		// A clean list is iterated as stored, so it must already be
+		// in the ascending order prepare would have produced.
+		for i := 1; i < len(s.ids); i++ {
+			if s.ids[i] < s.ids[i-1] {
+				return &WorklistError{Index: i, ID: int64(s.ids[i]), Reason: "not ascending in a list flagged clean"}
+			}
+		}
+	}
+	return nil
+}
+
+// WorklistError rejects a snapshot activity worklist the kernel could
+// not iterate as an unbroken run would: an id outside the node range,
+// an id listed twice, or a list flagged clean whose ids are not
+// ascending. Each of these would silently change phase order after
+// the restore.
+type WorklistError struct {
+	Index  int   // position of the offending entry in the encoded list
+	ID     int64 // the offending node id
+	Reason string
+}
+
+func (e *WorklistError) Error() string {
+	return fmt.Sprintf("network: snapshot worklist entry %d (node %d): %s", e.Index, e.ID, e.Reason)
 }
 
 // LoadState restores a state written by SaveState into a network built

@@ -243,8 +243,11 @@ func TestRestoreRejectsForeignConfig(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptPayload: container-level validation rejects
-// a bit-flipped checkpoint file before LoadState ever runs, and the
-// target network is untouched.
+// a bit-flipped checkpoint file before LoadState ever runs, and
+// LoadState rejects a well-formed container whose activity worklist
+// would change iteration order against an unbroken run (an id listed
+// twice, or a list flagged clean that is not ascending) with a
+// *WorklistError.
 func TestRestoreRejectsCorruptPayload(t *testing.T) {
 	donor := New(snapCfg())
 	var log []string
@@ -270,6 +273,35 @@ func TestRestoreRejectsCorruptPayload(t *testing.T) {
 			var ferr *snapshot.FormatError
 			if !errors.As(err, &ferr) {
 				t.Fatalf("error %v is not a *snapshot.FormatError", err)
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name  string
+		plant func(s *nodeSet)
+	}{
+		{"worklist-duplicate", func(s *nodeSet) { s.ids = append(s.ids, s.ids[0]) }},
+		{"worklist-clean-unsorted", func(s *nodeSet) { s.ids[0], s.ids[1] = s.ids[1], s.ids[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bent := New(snapCfg())
+			snapRun(bent, 200, new([]string))
+			if len(bent.activeR.ids) < 2 || bent.activeR.dirty {
+				t.Fatalf("activeR at the boundary = %v (dirty %t); want a clean list of 2+ routers",
+					bent.activeR.ids, bent.activeR.dirty)
+			}
+			tc.plant(&bent.activeR)
+			var bad snapshot.Encoder
+			bent.SaveState(&bad)
+			_, raw, err := snapshot.Decode("ckpt", snapshot.Encode(bent.Cycle(), bad.Bytes()))
+			if err != nil {
+				t.Fatalf("well-formed container rejected: %v", err)
+			}
+			err = New(snapCfg()).LoadState(snapshot.NewDecoder(raw))
+			var werr *WorklistError
+			if !errors.As(err, &werr) {
+				t.Fatalf("LoadState error %v is not a *WorklistError", err)
 			}
 		})
 	}

@@ -15,6 +15,7 @@ import (
 //
 //cr:hotpath allocation entry point, once per active router per cycle
 func (r *Router) RouteAndAllocate(emits []Emit) []Emit {
+	r.touch()
 	for i := range r.ins {
 		v := &r.ins[i]
 		if !v.active || v.routed || v.count == 0 {

@@ -200,8 +200,9 @@ type bufStore interface {
 	loadExtra(d *snapshot.Decoder) error
 	// check audits org invariants: slot conservation (per-VC chains +
 	// free list == pool size), window-ledger bounds and occupancy
-	// within granted windows. count returns VC j's occupancy.
-	check(count func(j int) int) error
+	// within granted windows, against the router's input VCs (ins[j]
+	// is flat VC j, whose count is its occupancy).
+	check(ins []inVC) error
 }
 
 // newBufStore builds the configured organization for a router with the
@@ -258,7 +259,7 @@ func (s *staticStore) release(int, func(int) bool, func(int, int)) {}
 func (s *staticStore) resetGrant(int)                              {}
 func (s *staticStore) saveExtra(*snapshot.Encoder)                 {}
 func (s *staticStore) loadExtra(*snapshot.Decoder) error           { return nil }
-func (s *staticStore) check(func(int) int) error                   { return nil }
+func (s *staticStore) check([]inVC) error                          { return nil }
 
 func (s *staticStore) reset() {
 	for i := range s.head {
@@ -606,20 +607,27 @@ func (s *pooledStore) chainLen(i int) int {
 	return n
 }
 
-func (s *pooledStore) check(count func(j int) int) error {
+// check is the pooled organizations' audit (see bufStore.check). Every
+// error return is a failure path: the first violation ends the run.
+//
+//cr:hotpath runs on every dirty router every cycle under Config.Check
+func (s *pooledStore) check(ins []inVC) error {
 	for p := 0; p < s.pools; p++ {
 		occ := 0
 		gsum := int32(0)
 		for k := 0; k < s.vcsPer; k++ {
 			i := p*s.vcsPer + k
-			n := count(i)
+			n := ins[i].count
 			if c := s.chainLen(i); c != n {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("pool %d VC %d chain length %d, occupancy %d", p, i, c, n)
 			}
 			if g := s.granted[i]; g < s.rsv || g > s.capW {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("pool %d VC %d granted %d outside [%d,%d]", p, i, g, s.rsv, s.capW)
 			}
 			if int32(n) > s.granted[i] {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("pool %d VC %d occupancy %d exceeds granted %d", p, i, n, s.granted[i])
 			}
 			occ += n
@@ -630,19 +638,24 @@ func (s *pooledStore) check(count func(j int) int) error {
 			free++
 		}
 		if int32(free) != s.freeN[p] {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("pool %d free list length %d, counter %d", p, free, s.freeN[p])
 		}
 		if occ+free != int(s.poolCap) {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("pool %d slot conservation: %d occupied + %d free != %d",
 				p, occ, free, s.poolCap)
 		}
 		if gsum != s.grantSum[p] {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("pool %d granted sum %d, counter %d", p, gsum, s.grantSum[p])
 		}
 		if gsum > s.poolCap {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("pool %d granted sum %d exceeds capacity %d", p, gsum, s.poolCap)
 		}
 		if rr := s.grantRR[p]; rr < 0 || rr >= int32(s.vcsPer) {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("pool %d grant rotation %d outside [0,%d)", p, rr, s.vcsPer)
 		}
 	}

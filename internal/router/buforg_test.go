@@ -134,10 +134,19 @@ func TestPooledGrantLifecycle(t *testing.T) {
 	if s.grantSum[1] != 2 {
 		t.Fatalf("pool 1 ledger moved: sum=%d", s.grantSum[1])
 	}
-	counts := func(int) int { return 0 }
-	if err := s.check(counts); err != nil {
+	if err := s.check(occupancy(make([]int, len(s.granted)))); err != nil {
 		t.Fatalf("ledger audit: %v", err)
 	}
+}
+
+// occupancy builds the input-VC view bufStore.check audits against:
+// flat VC j holding counts[j] flits.
+func occupancy(counts []int) []inVC {
+	ins := make([]inVC, len(counts))
+	for j, c := range counts {
+		ins[j].count = c
+	}
+	return ins
 }
 
 // TestPooledFIFOOrder interleaves pushes, pops and purges across VCs
@@ -166,7 +175,7 @@ func TestPooledFIFOOrder(t *testing.T) {
 	push(0, fr.FlitAt(2))
 	inj := nIn - 1
 	push(inj, fr.FlitAt(5))
-	if err := s.check(func(j int) int { return counts[j] }); err != nil {
+	if err := s.check(occupancy(counts)); err != nil {
 		t.Fatal(err)
 	}
 	if f := s.front(0); f.Seq != fr.FlitAt(0).Seq {
@@ -182,7 +191,7 @@ func TestPooledFIFOOrder(t *testing.T) {
 	if f := pop(inj); !f.Tail {
 		t.Fatal("injection pop lost the tail flit")
 	}
-	if err := s.check(func(j int) int { return counts[j] }); err != nil {
+	if err := s.check(occupancy(counts)); err != nil {
 		t.Fatal(err)
 	}
 	if s.freeN[0] != s.poolCap {
@@ -238,7 +247,7 @@ func TestPooledSnapshotCanonical(t *testing.T) {
 	if err := dst.loadExtra(d); err != nil {
 		t.Fatalf("loadExtra: %v", err)
 	}
-	if err := dst.check(func(j int) int { return got[j] }); err != nil {
+	if err := dst.check(occupancy(got)); err != nil {
 		t.Fatalf("restored audit: %v", err)
 	}
 	if again := encode(dst, got); !bytes.Equal(again, raw) {

@@ -2,9 +2,55 @@ package router
 
 import "fmt"
 
+// Incremental checking. Every method that can change router state
+// begins with touch, which marks the router dirty. A router no method
+// touched still holds the state that passed its last check, so checking
+// only the dirty routers after a cycle is as strong as checking every
+// router. The owner installs a list with TrackDirty; a router joins it
+// on the clean-to-dirty edge, so finding the routers to check costs
+// O(touched), with no scan over the whole network. A router without a
+// list is dirty from construction on and never joins anything: touch
+// is then one predictable branch.
+
+// touch marks the router dirty.
+//
+//cr:hotpath first statement of every mutating method
+func (r *Router) touch() {
+	if !r.dirty {
+		r.markDirty()
+	}
+}
+
+// markDirty is touch's clean-to-dirty edge, once per router per check
+// round.
+//
+//cr:hotpath once per touched router per cycle when checking
+func (r *Router) markDirty() {
+	r.dirty = true
+	if r.dirtyLog != nil {
+		*r.dirtyLog = append(*r.dirtyLog, r)
+	}
+}
+
+// TrackDirty installs log as the router's dirty list and appends the
+// router to it: construction counts as a mutation, so a fresh router is
+// checked once. From then on the router appends itself whenever a
+// mutating method runs on it after a ClearDirty. The owner checks and
+// clears the listed routers and truncates the list; it must keep log
+// valid for the router's lifetime.
+func (r *Router) TrackDirty(log *[]*Router) {
+	r.dirtyLog = log
+	r.dirty = false
+	r.markDirty()
+}
+
+// ClearDirty marks the router clean: its next mutation re-enters the
+// dirty list.
+func (r *Router) ClearDirty() { r.dirty = false }
+
 // CheckInvariants verifies the router's internal consistency and returns
-// a descriptive error on the first violation. Tests call it between
-// cycles; production runs skip it.
+// a descriptive error on the first violation. With Config.Check the
+// network runs it after every cycle on the routers marked dirty.
 //
 // Invariants:
 //   - buffer occupancy within [0, the VC's organization cap]
@@ -23,19 +69,27 @@ import "fmt"
 //     pool, Σ VC chain lengths + free-list length == pool size), chain
 //     lengths matching the router's occupancy counts, and the granted-
 //     window ledger within bounds (shared organizations)
+//
+// Every error return is a failure path: the first violation ends the
+// run, so its message may allocate.
+//
+//cr:hotpath runs on every dirty router every cycle under Config.Check
 func (r *Router) CheckInvariants() error {
 	total := 0
 	for i := range r.ins {
 		v := &r.ins[i]
 		total += v.count
 		if v.count < 0 || v.count > r.store.capOf(i) {
+			//cr:alloc failure path: the first violation ends the run
 			return fmt.Errorf("router %d: input (%d,%d) occupancy %d", r.id, v.p, v.vc, v.count)
 		}
 		if !v.active {
 			if v.count != 0 {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("router %d: inactive input (%d,%d) holds %d flits", r.id, v.p, v.vc, v.count)
 			}
 			if v.routed {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("router %d: inactive input (%d,%d) holds an allocation", r.id, v.p, v.vc)
 			}
 			continue
@@ -43,37 +97,42 @@ func (r *Router) CheckInvariants() error {
 		if v.routed {
 			o := &r.outs[v.outP].vcs[v.outV]
 			if !o.held || o.worm != v.worm || o.ownerP != v.p || o.ownerV != v.vc {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("router %d: input (%d,%d) allocation to (%d,%d) inconsistent",
 					r.id, v.p, v.vc, v.outP, v.outV)
 			}
 		}
 	}
 	if total != r.buffered {
+		//cr:alloc failure path: the first violation ends the run
 		return fmt.Errorf("router %d: buffered counter %d, actual %d", r.id, r.buffered, total)
 	}
-	wLo, wHi := r.cfg.initWindow(), r.cfg.maxWindow(r.deg)
 	for p := range r.outs {
 		out := &r.outs[p]
 		for vc := range out.vcs {
 			o := &out.vcs[vc]
-			if !out.ejection && (o.window < wLo || o.window > wHi) {
+			if !out.ejection && (o.window < r.wLo || o.window > r.wHi) {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("router %d: output (%d,%d) window %d outside [%d,%d]",
-					r.id, p, vc, o.window, wLo, wHi)
+					r.id, p, vc, o.window, r.wLo, r.wHi)
 			}
 			if !out.ejection && (o.credit < 0 || o.credit > o.window) {
+				//cr:alloc failure path: the first violation ends the run
 				return fmt.Errorf("router %d: output (%d,%d) credit %d with window %d",
 					r.id, p, vc, o.credit, o.window)
 			}
 			if o.held {
 				v := r.in(o.ownerP, o.ownerV)
 				if !v.active || v.worm != o.worm || !v.routed || v.outP != p || v.outV != vc {
+					//cr:alloc failure path: the first violation ends the run
 					return fmt.Errorf("router %d: output (%d,%d) owner (%d,%d) inconsistent",
 						r.id, p, vc, o.ownerP, o.ownerV)
 				}
 			}
 		}
 	}
-	if err := r.store.check(func(j int) int { return r.ins[j].count }); err != nil {
+	if err := r.store.check(r.ins); err != nil {
+		//cr:alloc failure path: the first violation ends the run
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
 	}
 	return nil

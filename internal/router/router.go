@@ -269,6 +269,18 @@ type Router struct {
 	cfg  Config            //cr:nosnap construction parameters
 	deg  int               //cr:nosnap derived from the topology at construction
 
+	// wLo/wHi bound every network output VC's window: the window it
+	// starts at (and returns to on release or repair) and the largest
+	// grant. Derived from cfg once so the check and the repair path do
+	// not re-derive them per call.
+	wLo, wHi int //cr:nosnap derived from cfg at construction
+
+	// dirty marks a router that a mutating method has run on since the
+	// last ClearDirty; dirtyLog is the owner's list it joins on the
+	// clean-to-dirty edge (see TrackDirty in check.go).
+	dirty    bool       //cr:nosnap check bookkeeping; LoadState marks the router dirty
+	dirtyLog *[]*Router //cr:nosnap owner-supplied list, installed after construction
+
 	// ins holds every input VC flat: network ports' VCs first
 	// (port-major: port p's VCs occupy ins[p*VCs : (p+1)*VCs]), then one
 	// single-VC entry per injection channel. The slice is never
@@ -317,7 +329,8 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 		panic(fmt.Sprintf("router: %s needs %d VCs on %s, config has %d", alg.Name(), min, topo.Name(), cfg.VCs))
 	}
 	deg := topo.Degree()
-	r := &Router{id: id, topo: topo, alg: alg, cfg: cfg, deg: deg}
+	r := &Router{id: id, topo: topo, alg: alg, cfg: cfg, deg: deg, dirty: true}
+	r.wLo, r.wHi = cfg.initWindow(), cfg.maxWindow(deg)
 	nIn := deg*cfg.VCs + cfg.InjectionChannels
 	r.ins = make([]inVC, nIn)
 	r.store = newBufStore(cfg, deg, nIn)
@@ -342,10 +355,9 @@ func New(id topology.NodeID, topo topology.Topology, alg routing.Algorithm, cfg 
 			o.vcs[0] = outVC{credit: 1 << 30, window: 1 << 30}
 		} else {
 			o.vcs = r.outArena[p*cfg.VCs : (p+1)*cfg.VCs]
-			w := cfg.initWindow()
 			for v := range o.vcs {
-				o.vcs[v].credit = w
-				o.vcs[v].window = w
+				o.vcs[v].credit = r.wLo
+				o.vcs[v].window = r.wLo
 			}
 			if _, ok := topo.Neighbor(id, topology.Port(p)); !ok {
 				o.linkUp = false // unconnected mesh edge
@@ -387,6 +399,7 @@ func (r *Router) numVCs(p int) int {
 // counters and arbitration pointers — without allocating. Network.Reset
 // uses it to reuse a network across runs.
 func (r *Router) Reset() {
+	r.touch()
 	for i := range r.ins {
 		v := &r.ins[i]
 		v.count = 0
@@ -407,9 +420,8 @@ func (r *Router) Reset() {
 		}
 		_, connected := r.topo.Neighbor(r.id, topology.Port(p))
 		o.linkUp = connected
-		w := r.cfg.initWindow()
 		for vc := range o.vcs {
-			o.vcs[vc] = outVC{credit: w, window: w}
+			o.vcs[vc] = outVC{credit: r.wLo, window: r.wLo}
 		}
 	}
 	r.buffered = 0
@@ -449,7 +461,10 @@ func (r *Router) LinkUp(p int) bool { return r.outs[p].linkUp }
 // SetLinkDown marks the outgoing link on network port p dead. Worm
 // tear-down for the link's victims is driven by the network via
 // HeldWorms/ActiveWorms and ApplySignal.
-func (r *Router) SetLinkDown(p int) { r.outs[p].linkUp = false }
+func (r *Router) SetLinkDown(p int) {
+	r.touch()
+	r.outs[p].linkUp = false
+}
 
 // SetLinkUp restores the outgoing link on network port p after a repair:
 // the link comes back with no holders and a fully drained downstream
@@ -457,14 +472,14 @@ func (r *Router) SetLinkDown(p int) { r.outs[p].linkUp = false }
 // event, which returns every downstream window to the reserve), so
 // every virtual channel is immediately claimable at its initial window.
 func (r *Router) SetLinkUp(p int) {
+	r.touch()
 	out := &r.outs[p]
 	out.linkUp = true
-	w := r.cfg.initWindow()
 	for vc := range out.vcs {
 		o := &out.vcs[vc]
 		o.held = false
-		o.credit = w
-		o.window = w
+		o.credit = r.wLo
+		o.window = r.wLo
 	}
 }
 
@@ -478,6 +493,7 @@ func (r *Router) SetLinkUp(p int) {
 // calling this); buffered flits of live worms would be a protocol
 // violation.
 func (r *Router) ResetInput(p int) {
+	r.touch()
 	for vc := 0; vc < r.numVCs(p); vc++ {
 		v := r.in(p, vc)
 		if v.active || v.count > 0 {
@@ -512,6 +528,7 @@ func (r *Router) InjectionReady(ch int) bool {
 // (the NIC injector) must have checked InjectionFree. A head flit claims
 // the channel for its worm.
 func (r *Router) Inject(ch int, f flit.Flit) {
+	r.touch()
 	v := r.in(r.InjPort(ch), 0)
 	if f.Kind == flit.Head {
 		if v.active {
@@ -533,6 +550,7 @@ func (r *Router) Inject(ch int, f flit.Flit) {
 // absorbed as a tear-down straggler (the network then refunds the
 // upstream credit as if the flit had been consumed).
 func (r *Router) AcceptFlit(p, vc int, f flit.Flit) bool {
+	r.touch()
 	v := r.in(p, vc)
 	if v.purgeValid && v.purgeWorm == f.Worm {
 		r.stats.Stragglers++

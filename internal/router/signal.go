@@ -103,6 +103,7 @@ func releaseIn(v *inVC, worm flit.WormID) {
 // ApplySignal processes one tear-down signal and returns the emissions
 // the network must deliver (further propagation and credit refunds).
 func (r *Router) ApplySignal(s Signal, emits []Emit) []Emit {
+	r.touch()
 	switch s.Kind {
 	case KillFwd:
 		return r.applyKillFwd(s, emits)
@@ -227,6 +228,7 @@ func (r *Router) BlockedWorms(min int, buf []BlockedWorm) []BlockedWorm {
 // end-of-cycle bound (credit <= window) is asserted by CheckInvariants
 // instead.
 func (r *Router) Credit(p, vc int) {
+	r.touch()
 	o := &r.outs[p].vcs[vc]
 	o.credit++
 	if r.cfg.Check && r.cfg.Org == OrgStaticFIFO && !r.outs[p].ejection && o.credit > r.cfg.BufDepth {
@@ -259,6 +261,7 @@ func (r *Router) SetAdvertiser(a CreditAdvert) { r.advert = a }
 // refunds plus a window delta w (grants are positive, release shrinks
 // negative). Plain credit application is ApplyCredit(p, vc, n, 0).
 func (r *Router) ApplyCredit(p, vc, n, w int) {
+	r.touch()
 	o := &r.outs[p].vcs[vc]
 	o.credit += n + w
 	o.window += w

@@ -84,6 +84,7 @@ func (r *Router) SaveState(e *snapshot.Encoder) {
 // counts — guaranteed by the network's config fingerprint check). The
 // total buffered count is recomputed from the restored FIFOs.
 func (r *Router) LoadState(d *snapshot.Decoder) error {
+	r.touch()
 	buffered := 0
 	r.store.reset()
 	for i := range r.ins {
@@ -109,7 +110,6 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 	if err := r.store.loadExtra(d); err != nil {
 		return fmt.Errorf("router %d: buffer store: %w", r.id, err)
 	}
-	wLo, wHi := r.cfg.initWindow(), r.cfg.maxWindow(r.deg)
 	for p := range r.outs {
 		o := &r.outs[p]
 		o.rr = d.Int()
@@ -125,9 +125,9 @@ func (r *Router) LoadState(d *snapshot.Decoder) error {
 			if d.Err() != nil {
 				break
 			}
-			if !o.ejection && (ov.credit < 0 || ov.credit > ov.window || ov.window < wLo || ov.window > wHi) {
+			if !o.ejection && (ov.credit < 0 || ov.credit > ov.window || ov.window < r.wLo || ov.window > r.wHi) {
 				return fmt.Errorf("router %d: output (%d,%d) credit %d / window %d outside bounds [%d,%d]",
-					r.id, p, vc, ov.credit, ov.window, wLo, wHi)
+					r.id, p, vc, ov.credit, ov.window, r.wLo, r.wHi)
 			}
 		}
 	}

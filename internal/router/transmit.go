@@ -33,6 +33,7 @@ func (r *Router) inIndex(p, vc int) int {
 //
 //cr:hotpath switch transmission, once per active router per cycle
 func (r *Router) Transmit(moveFlit func(outPort, outVC int, f flit.Flit), creditFlit func(inPort, inVC int)) {
+	r.touch()
 	n := len(r.ins)
 	for op := range r.outs {
 		out := &r.outs[op]

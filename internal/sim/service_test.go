@@ -9,6 +9,7 @@ import (
 	"crnet/internal/network"
 	"crnet/internal/routing"
 	"crnet/internal/topology"
+	"crnet/internal/traffic"
 	"crnet/internal/workload"
 )
 
@@ -177,5 +178,49 @@ func TestServiceDoneDrains(t *testing.T) {
 	st := s.Status()
 	if st.Submitted == 0 || st.Delivered != st.Submitted {
 		t.Fatalf("delivered %d of %d submitted", st.Delivered, st.Submitted)
+	}
+}
+
+// TestServiceStepZeroAlloc is the allocation gate for the crsimd engine:
+// a crsimd-shaped service (FCR, transient corruption, Config.Check, a
+// looped uniform trace, the sampler every 100 cycles) steps without
+// allocating once warmed up. The measured cycles avoid sampler ticks,
+// which record a sample by design.
+func TestServiceStepZeroAlloc(t *testing.T) {
+	topo := topology.NewTorus(8, 2)
+	spec := workload.TraceFor(topo, 0.03, 16, 1000, 1, traffic.CapacityFlitsPerNode(topo))
+	svc, err := NewService(ServiceConfig{
+		Net: network.Config{
+			Topo:          topo,
+			Alg:           routing.MinimalAdaptive{},
+			Protocol:      core.FCR,
+			Backoff:       core.Backoff{Kind: core.BackoffExponential, Gap: 8},
+			TransientRate: 1e-4,
+			Seed:          1,
+			Check:         true,
+		},
+		Trace:       workload.GenUniform(spec),
+		Loop:        true,
+		SampleEvery: 100,
+		SampleCap:   512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if err := svc.Step(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Step(2001); err != nil { // warmup, ending just past a sampler tick
+		t.Fatal(err)
+	}
+	// AllocsPerRun steps 51 cycles (one warm-up call plus 50 measured),
+	// 2001..2051: no sampler tick, no trace epoch boundary.
+	if avg := testing.AllocsPerRun(50, step); avg > 0 {
+		t.Fatalf("Service.Step allocates %.2f times per cycle, want 0", avg)
+	}
+	if svc.Status().Delivered == 0 {
+		t.Fatal("service delivered nothing; the gate is vacuous")
 	}
 }
